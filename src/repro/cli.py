@@ -387,8 +387,13 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     return 0
 
 
-class _Terminated(Exception):
-    """Raised by the SIGTERM handler to unwind a long-lived command."""
+class _Terminated(BaseException):
+    """Raised by the SIGTERM handler to unwind a long-lived command.
+
+    A ``BaseException``, like :class:`KeyboardInterrupt`: socketserver
+    treats an ``Exception`` raised inside ``process_request`` as a
+    request error and keeps serving.
+    """
 
 
 def _cmd_worker(args: argparse.Namespace) -> int:

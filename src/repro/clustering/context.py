@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from repro.clustering.implicit import ImplicitAttribute, derive_implicit_attributes
 from repro.clustering.metrics import (
@@ -26,9 +26,6 @@ from repro.clustering.phi import PhiVectorizer
 from repro.datatypes.similarity import TypedSimilarity
 from repro.kb.knowledge_base import KnowledgeBase
 from repro.matching.records import RowRecord
-
-if TYPE_CHECKING:  # pragma: no cover - type-only import
-    from repro.perf.kernels import KernelCache
 
 
 @dataclass
@@ -70,21 +67,11 @@ class RowMetricContext:
 
 
 def make_row_metrics(
-    names: Sequence[str],
-    context: RowMetricContext,
-    kernels: "KernelCache | None" = None,
+    names: Sequence[str], context: RowMetricContext
 ) -> list[RowMetric]:
-    """Instantiate metrics by canonical name, in the given order.
-
-    ``kernels`` (a :class:`repro.perf.KernelCache`) shares the session's
-    token-pair similarity memo with the LABEL metric; omitting it leaves
-    each metric instance to memoize privately.  Either way the scores
-    are identical — the memo only removes repeated work.
-    """
+    """Instantiate metrics by canonical name, in the given order."""
     factory = {
-        "LABEL": lambda: LabelMetric(
-            memo=kernels.token_sim if kernels is not None else None
-        ),
+        "LABEL": lambda: LabelMetric(),
         "BOW": lambda: BowMetric(),
         "PHI": lambda: PhiMetric(context.phi),
         "ATTRIBUTE": lambda: AttributeMetric(context.similarities),

@@ -15,11 +15,7 @@ from repro.clustering.implicit import ImplicitAttribute, value_key
 from repro.clustering.phi import PhiVectorizer
 from repro.datatypes.similarity import TypedSimilarity
 from repro.matching.records import RowRecord
-from repro.text.monge_elkan import (
-    TokenPairMemo,
-    label_similarity,
-    monge_elkan_symmetric_memo,
-)
+from repro.text.monge_elkan import label_similarity, label_tokens_similarity
 from repro.text.vectors import binary_cosine
 
 #: Canonical metric names in the paper's aggregation order (Table 7).
@@ -42,33 +38,16 @@ class RowMetric(Protocol):
 class LabelMetric:
     """Monge-Elkan (Levenshtein inner) similarity of the row labels.
 
-    Inner token-pair similarities route through a memo — pass the
-    session-shared :attr:`repro.perf.KernelCache.token_sim` so every
-    metric (and every run) reuses each token pair's similarity; without
-    one the metric memoizes privately for its own lifetime.  The memo
-    changes nothing but speed (values are pure and canonical-keyed).
+    Goes through the one label-similarity route of
+    :mod:`repro.text.monge_elkan`, so inside a pipeline run every inner
+    token similarity lands in the session's token-pair memo.
     """
 
     name = "LABEL"
 
-    def __init__(self, memo: TokenPairMemo | None = None) -> None:
-        self._memo: TokenPairMemo = memo if memo is not None else {}
-
-    def __getstate__(self) -> dict:
-        # Executor workers rebuild their own memo: shipping a session's
-        # accumulated token pairs to every chunk would dwarf the task
-        # payload, and an empty memo is merely a cold start, not a
-        # semantic change.
-        return {"_memo": {}}
-
     def compute(self, a: RowRecord, b: RowRecord) -> MetricOutput:
         if a.label_tokens and b.label_tokens:
-            return (
-                monge_elkan_symmetric_memo(
-                    a.label_tokens, b.label_tokens, self._memo
-                ),
-                1.0,
-            )
+            return label_tokens_similarity(a.label_tokens, b.label_tokens), 1.0
         return label_similarity(a.norm_label, b.norm_label), 1.0
 
 

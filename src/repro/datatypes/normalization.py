@@ -72,9 +72,20 @@ def parse_date(raw: str) -> DateValue:
     """Parse a raw cell into a :class:`DateValue`.
 
     Accepts ISO (``1987-03-14``), US (``3/14/1987``), textual
-    (``March 14, 1987`` / ``14 March 1987``) and bare-year forms.
+    (``March 14, 1987`` / ``14 March 1987``) and bare-year forms.  A cell
+    of a date shape whose month or day is out of range (``62/4/1990``)
+    is not a date either.
     """
-    text = clean_cell(raw).lower().strip(".")
+    try:
+        date = _match_date(clean_cell(raw).lower().strip("."))
+    except ValueError as error:  # DateValue rejects the month or day
+        raise NormalizationError(f"not a date: {raw!r} ({error})") from error
+    if date is None:
+        raise NormalizationError(f"not a date: {raw!r}")
+    return date
+
+
+def _match_date(text: str) -> DateValue | None:
     match = _ISO_DATE.match(text)
     if match:
         year, month, day = (int(group) for group in match.groups())
@@ -96,7 +107,7 @@ def parse_date(raw: str) -> DateValue:
     match = _YEAR_ONLY.match(text)
     if match:
         return DateValue(int(match.group(1)))
-    raise NormalizationError(f"not a date: {raw!r}")
+    return None
 
 
 def parse_quantity(raw: str) -> float:

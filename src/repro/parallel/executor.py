@@ -31,6 +31,7 @@ wall-clock and in-worker chunk seconds land in one report.
 
 from __future__ import annotations
 
+import contextvars
 import os
 import socket
 import time
@@ -459,6 +460,9 @@ class _PooledExecutor(Executor):
     def _make_pool(self):  # pragma: no cover - trivial dispatch
         raise NotImplementedError
 
+    def _submit(self, timed: _TimedBatch, chunk: list) -> Future:
+        return self._pool.submit(timed, chunk)
+
     def _assert_transferable(self, timed: _TimedBatch, chunks: list[list]) -> None:
         """Surface transfer errors even when execution stays in-process."""
 
@@ -474,7 +478,7 @@ class _PooledExecutor(Executor):
         if self._pool is None:
             self._pool = self._make_pool()
         futures: dict[Future, int] = {
-            self._pool.submit(timed, chunk): chunk_index
+            self._submit(timed, chunk): chunk_index
             for chunk_index, chunk in enumerate(chunks)
         }
         pending = set(futures)
@@ -515,6 +519,12 @@ class ThreadExecutor(_PooledExecutor):
         return ThreadPoolExecutor(
             max_workers=self.workers, thread_name_prefix="repro-exec"
         )
+
+    def _submit(self, timed: _TimedBatch, chunk: list) -> Future:
+        # Pool threads do not inherit the caller's context variables;
+        # running each chunk in a copy of it keeps the run's token-pair
+        # memo (see repro.text.monge_elkan.token_memo_scope) in reach.
+        return self._pool.submit(contextvars.copy_context().run, timed, chunk)
 
 
 class ProcessExecutor(_PooledExecutor):

@@ -28,7 +28,8 @@ SimilarityT = TypeVar("SimilarityT")
 class KernelCache:
     """The bundle of kernel memos one :class:`~repro.api.RunSession` owns.
 
-    * ``token_sim`` — the canonical-pair Monge-Elkan inner memo
+    * ``token_sim`` — the canonical-pair Monge-Elkan inner memo every
+      label similarity of the session's runs goes through
       (content-keyed, safe across runs and corpus epochs; cleared at the
       epoch guard anyway to bound memory).
     * a weak registry of the :class:`~repro.clustering.similarity.RowSimilarity`

@@ -36,6 +36,7 @@ from repro.pipeline.stages import (
     PipelineStage,
     PipelineState,
 )
+from repro.text.monge_elkan import token_memo_scope
 from repro.webtables.corpus import TableCorpus
 from repro.webtables.table import RowId
 
@@ -230,9 +231,11 @@ class LongTailPipeline:
         default stages serve per-table and per-entity artifacts from a
         persistent store — the results are byte-identical either way.
         ``kernels`` (a :class:`repro.perf.KernelCache`) shares the
-        caller's kernel memos with the stages; by default each run gets
-        a fresh cache so its two iterations at least share token-pair
-        similarities.  Kernel memos never change results, only speed.
+        caller's kernel memos with the run: its ``token_sim`` serves
+        every label similarity computed while the run executes.  By
+        default each run gets a fresh cache so its two iterations at
+        least share token-pair similarities.  Kernel memos never change
+        results, only speed.
 
         Failures in work dispatched through the executor surface as
         :class:`~repro.parallel.ExecutorError` naming the task, chunk
@@ -278,32 +281,35 @@ class LongTailPipeline:
         result = PipelineResult(class_name=class_name)
         for observer in observers:
             observer.on_run_started(class_name, self.config)
-        try:
-            for iteration in range(1, self.config.iterations + 1):
-                state.iteration = iteration
-                for observer in observers:
-                    observer.on_iteration_started(class_name, iteration)
-                for stage in stage_list:
+        # Every label similarity of this run, in its stages and in the
+        # final dedup, goes through the caller's token-pair memo.
+        with token_memo_scope(kernels.token_sim):
+            try:
+                for iteration in range(1, self.config.iterations + 1):
+                    state.iteration = iteration
                     for observer in observers:
-                        observer.on_stage_started(
-                            class_name, iteration, stage.name
-                        )
-                    started = time.perf_counter()
-                    state = stage.run(state)
-                    elapsed = time.perf_counter() - started
+                        observer.on_iteration_started(class_name, iteration)
+                    for stage in stage_list:
+                        for observer in observers:
+                            observer.on_stage_started(
+                                class_name, iteration, stage.name
+                            )
+                        started = time.perf_counter()
+                        state = stage.run(state)
+                        elapsed = time.perf_counter() - started
+                        for observer in observers:
+                            observer.on_stage_finished(
+                                class_name, iteration, stage.name, elapsed
+                            )
+                    artifacts = state.artifacts()
+                    result.iterations.append(artifacts)
+                    state.evidence = self._build_evidence(artifacts)
                     for observer in observers:
-                        observer.on_stage_finished(
-                            class_name, iteration, stage.name, elapsed
-                        )
-                artifacts = state.artifacts()
-                result.iterations.append(artifacts)
-                state.evidence = self._build_evidence(artifacts)
-                for observer in observers:
-                    observer.on_iteration_finished(class_name, iteration)
-        finally:
-            executor.close()
-        if self.config.dedup_new_entities:
-            self._dedup_final(result)
+                        observer.on_iteration_finished(class_name, iteration)
+            finally:
+                executor.close()
+            if self.config.dedup_new_entities:
+                self._dedup_final(result)
         for observer in observers:
             observer.on_run_finished(result)
         return result

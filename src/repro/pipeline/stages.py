@@ -101,8 +101,8 @@ class PipelineState:
     #: store; ``None`` (the default) keeps every stage fully stateless.
     incremental: "IncrementalBackend | None" = None
     #: Session-scoped kernel memos (:class:`repro.perf.KernelCache`), set
-    #: by the orchestrator.  Stages share it with the similarity kernels
-    #: they build; ``None`` makes each stage memoize privately.  Purely a
+    #: by the orchestrator.  Stages register their row-id-keyed pair
+    #: caches with it so the corpus-epoch guard can drop them.  Purely a
     #: speed lever — outputs are identical with or without it.
     kernels: KernelCache | None = None
 
@@ -385,9 +385,7 @@ class ClusterStage:
             state.kb, state.class_name, state.records
         )
         row_similarity = RowSimilarity(
-            make_row_metrics(
-                config.row_metric_names, state.context, kernels=state.kernels
-            ),
+            make_row_metrics(config.row_metric_names, state.context),
             state.models.row_aggregator,
         )
         if state.kernels is not None:

@@ -15,9 +15,11 @@ from repro.text.levenshtein import (
 )
 from repro.text.monge_elkan import (
     label_similarity,
+    label_tokens_similarity,
     monge_elkan,
     monge_elkan_symmetric,
     monge_elkan_symmetric_memo,
+    token_memo_scope,
 )
 from repro.text.vectors import binary_cosine, jaccard, term_vector
 
@@ -32,6 +34,8 @@ __all__ = [
     "monge_elkan_symmetric",
     "monge_elkan_symmetric_memo",
     "label_similarity",
+    "label_tokens_similarity",
+    "token_memo_scope",
     "binary_cosine",
     "jaccard",
     "term_vector",

@@ -6,11 +6,19 @@ metric (Section 3.4).  Monge-Elkan aligns each token of one string with its
 best-matching token of the other and averages those best scores, which makes
 it robust to token reordering ("John Smith" vs "Smith, John") and to extra
 qualifier tokens.
+
+Every production caller goes through :func:`label_similarity` (or
+:func:`label_tokens_similarity` for pre-tokenized labels), which computes
+the score with :func:`monge_elkan_symmetric_memo` over a token-pair memo.
+:func:`monge_elkan` and :func:`monge_elkan_symmetric` are the plain
+reference the tests and the kernel benchmark compare against.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from contextlib import contextmanager
+from contextvars import ContextVar
+from typing import Callable, Iterator, Sequence
 
 from repro.perf.counters import bump
 from repro.text.levenshtein import levenshtein_similarity
@@ -23,6 +31,24 @@ InnerSimilarity = Callable[[str, str], float]
 #: pure, so one entry serves both directions, every row pair of a run,
 #: and every metric that compares the same two tokens.
 TokenPairMemo = dict[tuple[str, str], float]
+
+#: Most token pairs the process-default memo holds.  A call that would
+#: overflow it empties it first; the memo only saves work, so a cold
+#: restart changes no score.  The check is per call and unlocked, so
+#: threads scoring concurrently outside a run may overshoot it by the
+#: pairs they have in flight.
+DEFAULT_MEMO_CAP = 50_000
+
+#: The memo label similarities use outside any pipeline run (world
+#: synthesis, a standalone :class:`~repro.datatypes.TypedSimilarity`).
+_DEFAULT_MEMO: TokenPairMemo = {}
+
+#: The memo of the run executing in this context, if any — the owning
+#: session's :attr:`repro.perf.KernelCache.token_sim`, set through
+#: :func:`token_memo_scope`.
+_RUN_MEMO: ContextVar[TokenPairMemo | None] = ContextVar(
+    "repro_token_memo", default=None
+)
 
 
 def monge_elkan(
@@ -114,10 +140,46 @@ def monge_elkan_symmetric_memo(
     return (forward + backward) / 2.0
 
 
+@contextmanager
+def token_memo_scope(memo: TokenPairMemo) -> Iterator[None]:
+    """Route every label similarity in this context through ``memo``.
+
+    A pipeline run holds its session's token memo for its duration, so
+    the memo's owner decides when it is cleared.  Threads started for
+    the run see it only when their work is submitted through
+    :func:`contextvars.copy_context`.
+    """
+    token = _RUN_MEMO.set(memo)
+    try:
+        yield
+    finally:
+        _RUN_MEMO.reset(token)
+
+
+def label_tokens_similarity(
+    tokens_a: Sequence[str], tokens_b: Sequence[str]
+) -> float:
+    """:func:`label_similarity` of two already tokenized labels.
+
+    Uses the memo of the enclosing :func:`token_memo_scope`, else the
+    process-default memo, which is kept within :data:`DEFAULT_MEMO_CAP`.
+    """
+    memo = _RUN_MEMO.get()
+    if memo is None:
+        memo = _DEFAULT_MEMO
+        needed = len(tokens_a) * len(tokens_b)
+        if len(memo) + needed > DEFAULT_MEMO_CAP:
+            memo.clear()
+            if needed > DEFAULT_MEMO_CAP:
+                memo = {}
+    return monge_elkan_symmetric_memo(tokens_a, tokens_b, memo)
+
+
 def label_similarity(label_a: str, label_b: str) -> float:
     """Similarity of two natural-language labels in [0, 1].
 
     Tokenizes both labels and applies symmetric Monge-Elkan with Levenshtein
-    inner similarity — the exact configuration named in the paper.
+    inner similarity — the exact configuration named in the paper — through
+    the active token-pair memo (see :func:`label_tokens_similarity`).
     """
-    return monge_elkan_symmetric(tokenize(label_a), tokenize(label_b))
+    return label_tokens_similarity(tokenize(label_a), tokenize(label_b))

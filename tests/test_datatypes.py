@@ -62,6 +62,41 @@ class TestDateParsing:
         with pytest.raises(NormalizationError):
             parse_date("not a date")
 
+    @pytest.mark.parametrize("raw", ["62/4/1990", "1990-13-01", "Mar 40, 1990"])
+    def test_out_of_range_month_or_day_is_not_a_date(self, raw):
+        with pytest.raises(NormalizationError):
+            parse_date(raw)
+        assert detect_cell_type(raw) is not DataType.DATE
+
+    def test_column_with_a_typo_date_still_types(self):
+        cells = ["3/14/1987", "62/4/1990", "7/1/1975", "12/30/2001"]
+        assert detect_column_type(cells) is DataType.DATE
+
+    def test_pipeline_runs_over_a_table_with_a_typo_date(self, tiny_world):
+        from repro.api import RunSession
+        from repro.webtables.corpus import TableCorpus
+        from repro.webtables.table import WebTable
+
+        corpus = TableCorpus(tiny_world.corpus)
+        corpus.add(
+            WebTable(
+                table_id="typo-date",
+                header=("name", "birth date"),
+                rows=[
+                    ("Alan Ameche", "6/1/1933"),
+                    ("Jim Brown", "62/4/1936"),
+                    ("Otto Graham", "12/6/1921"),
+                ],
+            )
+        )
+        session = RunSession(
+            knowledge_base=tiny_world.knowledge_base, corpus=corpus
+        )
+        result = session.run(
+            "GridironFootballPlayer", executor="serial", use_cache=False
+        )
+        assert result.final.entities
+
 
 class TestQuantityParsing:
     def test_plain_number(self):

@@ -11,8 +11,10 @@ the generation-keyed block cache and the ``repro profile`` command).
 
 from __future__ import annotations
 
+import importlib
 import json
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.clustering.blocking import build_blocks
@@ -31,9 +33,14 @@ from repro.perf import (
     reset_kernel_counters,
 )
 from repro.perf.bench import compare_with_baseline, run_kernel_benchmarks
+from repro.text.monge_elkan import token_memo_scope
 from repro.text.tokenize import normalize_label, tokenize
 from repro.text.vectors import term_vector
 from repro.webtables.table import WebTable
+
+# The package re-exports a function named ``monge_elkan``, so the module
+# is looked up by its full name.
+monge_elkan = importlib.import_module("repro.text.monge_elkan")
 
 # ---------------------------------------------------------------------------
 # Deletion-neighborhood fuzzy expansion ≡ the prefix-bucket scan
@@ -143,10 +150,9 @@ def _record(row_id, label):
     )
 
 
-def _similarity(kernels=None):
-    memo = kernels.token_sim if kernels is not None else None
+def _similarity():
     return RowSimilarity(
-        [LabelMetric(memo=memo), BowMetric()],
+        [LabelMetric(), BowMetric()],
         StaticWeightedAggregator({"LABEL": 0.7, "BOW": 0.3}, threshold=0.6),
     )
 
@@ -154,8 +160,9 @@ def _similarity(kernels=None):
 class TestKernelCache:
     def test_register_and_clear_drops_pair_caches_and_memo(self):
         kernels = KernelCache()
-        similarity = kernels.register(_similarity(kernels))
-        similarity.score(_record(1, "green day"), _record(2, "green days"))
+        similarity = kernels.register(_similarity())
+        with token_memo_scope(kernels.token_sim):
+            similarity.score(_record(1, "green day"), _record(2, "green days"))
         assert kernels.cache_info()["token_pairs"] > 0
         assert kernels.cache_info()["pair_scores"] == 1
         kernels.clear()
@@ -165,14 +172,16 @@ class TestKernelCache:
 
     def test_shared_memo_changes_nothing_but_speed(self):
         kernels = KernelCache()
-        shared = kernels.register(_similarity(kernels))
+        shared = kernels.register(_similarity())
         private = _similarity()
         pairs = [
             (_record(1, "the long road"), _record(2, "the long roads")),
             (_record(3, "long road"), _record(4, "the long road")),
         ]
         for a, b in pairs:
-            assert shared.score(a, b) == private.score(a, b)
+            with token_memo_scope(kernels.token_sim):
+                shared_score = shared.score(a, b)
+            assert shared_score == private.score(a, b)
 
     def test_row_similarity_cache_info_counts_hits_and_misses(self):
         similarity = _similarity()
@@ -188,18 +197,19 @@ class TestKernelCache:
         import pickle
 
         kernels = KernelCache()
-        metric = LabelMetric(memo=kernels.token_sim)
-        metric.compute(_record(1, "green day"), _record(2, "green days"))
-        assert kernels.token_sim  # the memo filled
-        clone = pickle.loads(pickle.dumps(metric))
-        assert clone._memo == {}  # workers start cold, not with the session memo
-        # and the clone still scores identically
+        metric = LabelMetric()
         a, b = _record(1, "green day"), _record(2, "green days")
-        assert clone.compute(a, b) == metric.compute(a, b)
+        with token_memo_scope(kernels.token_sim):
+            score = metric.compute(a, b)
+            assert kernels.token_sim  # the memo filled
+            payload = pickle.dumps(metric)
+        # Workers start cold: the session memo is not part of the metric.
+        assert b"green" not in payload
+        assert pickle.loads(payload).compute(a, b) == score
 
 
 class TestSessionWiring:
-    # Serial executor throughout: process-pool workers keep their kernel
+    # In-process executors only: process-pool workers keep their kernel
     # memos (and counters) to themselves, so the main-process numbers
     # these tests assert on are only guaranteed in-process.
 
@@ -211,6 +221,25 @@ class TestSessionWiring:
         assert session.kernels.cache_info()["token_pairs"] > 0
         session.clear_cache()
         assert session.kernels.cache_info()["token_pairs"] == 0
+
+    def test_fresh_session_starts_with_an_empty_token_memo(self, tiny_world):
+        from repro.api import RunSession
+
+        assert RunSession(tiny_world).kernels.token_sim == {}
+
+    # Thread-pool chunks must run in a copy of the caller's context, or
+    # their label similarities would land in the process default.
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    def test_run_fills_the_session_memo_not_the_process_default(
+        self, tiny_world, executor
+    ):
+        from repro.api import RunSession
+
+        session = RunSession(tiny_world)
+        monge_elkan._DEFAULT_MEMO.clear()
+        session.run("Song", executor=executor, workers=2, use_cache=False)
+        assert session.kernels.token_sim
+        assert monge_elkan._DEFAULT_MEMO == {}
 
     def test_runs_share_the_session_token_memo(self, tiny_world):
         from repro.api import RunSession

@@ -13,6 +13,7 @@ import json
 import os
 import pickle
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -146,6 +147,42 @@ class TestServeSigterm:
         # close() drained the writer: the run reached its terminal
         # status and was journal-removed before the process exited.
         assert json.loads(journal.read_text())["runs"] == []
+
+
+class TestServeForeverUnwinds:
+    def test_terminated_inside_process_request_escapes_serve_forever(self):
+        # The SIGTERM handler's exception can land while the server is
+        # inside process_request; socketserver swallows Exception
+        # subclasses there as request errors, so the loop must unwind.
+        from repro.cli import _Terminated
+        from repro.serve.http import KBServer
+
+        server = KBServer(("127.0.0.1", 0), service=None)
+
+        def process_request(request, client_address):
+            raise _Terminated()
+
+        server.process_request = process_request
+        outcome: list[str] = []
+
+        def serve() -> None:
+            try:
+                server.serve_forever(poll_interval=0.05)
+            except _Terminated:
+                outcome.append("unwound")
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        try:
+            socket.create_connection(server.server_address, timeout=10).close()
+            thread.join(timeout=10.0)
+            assert not thread.is_alive(), "serve_forever kept running"
+            assert outcome == ["unwound"]
+        finally:
+            if thread.is_alive():
+                server.shutdown()
+                thread.join(timeout=10.0)
+            server.server_close()
 
 
 class TestWorkerSigterm:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import math
 
 from hypothesis import given, strategies as st
@@ -19,8 +20,17 @@ from repro.text import (
     monge_elkan_symmetric_memo,
     normalize_label,
     term_vector,
+    token_memo_scope,
     tokenize,
 )
+
+# The package re-exports a function named ``monge_elkan``, so the module
+# is looked up by its full name.
+monge_elkan_module = importlib.import_module("repro.text.monge_elkan")
+
+#: One memo shared by every example of the equivalence property, so later
+#: examples run against a memo warmed by unrelated labels.
+_SHARED_MEMO: dict = {}
 
 
 class TestCleanCell:
@@ -170,6 +180,49 @@ class TestMongeElkan:
         assert monge_elkan_symmetric_memo(a, b, memo) == monge_elkan_symmetric(a, b)
         # A warm memo must not change the value either.
         assert monge_elkan_symmetric_memo(a, b, memo) == monge_elkan_symmetric(a, b)
+
+
+class TestLabelSimilarityRoute:
+    @given(st.text(), st.text())
+    def test_equals_the_plain_oracle_bit_for_bit(self, a, b):
+        expected = monge_elkan_symmetric(tokenize(a), tokenize(b))
+        # Outside any run: the process-default memo.
+        assert label_similarity(a, b) == expected
+        assert label_similarity(b, a) == expected
+        with token_memo_scope({}):
+            assert label_similarity(a, b) == expected  # empty memo
+            assert label_similarity(b, a) == expected  # warm memo
+        with token_memo_scope(_SHARED_MEMO):
+            assert label_similarity(a, b) == expected
+            assert label_similarity(b, a) == expected
+
+    def test_scope_routes_into_the_given_memo(self):
+        memo = {}
+        with token_memo_scope(memo):
+            label_similarity("green day", "green days")
+        assert ("day", "days") in memo
+        with token_memo_scope(memo):
+            with token_memo_scope({}):
+                label_similarity("red", "rad")
+            label_similarity("blue", "blu")
+        assert ("rad", "red") not in memo  # the inner scope's memo
+        assert ("blu", "blue") in memo  # the outer scope restored
+
+    def test_default_memo_never_exceeds_its_cap(self, monkeypatch):
+        monkeypatch.setattr(monge_elkan_module, "DEFAULT_MEMO_CAP", 12)
+        default_memo = monge_elkan_module._DEFAULT_MEMO
+        default_memo.clear()
+        labels = [
+            "alpha beta",
+            "gamma delta epsilon",
+            "beta alpha zeta",
+            "one two three four five",  # 25 pairs with itself: over the cap
+        ]
+        for a in labels:
+            for b in labels:
+                expected = monge_elkan_symmetric(tokenize(a), tokenize(b))
+                assert label_similarity(a, b) == expected
+                assert len(default_memo) <= 12
 
 
 class TestTermVectors:
