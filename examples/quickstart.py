@@ -61,7 +61,9 @@ def main() -> None:
         f"{truly_new} verified new against ground truth."
     )
 
-    # The session caches stage artifacts: an identical re-run is ~free.
+    # The session caches stage artifacts under content-addressed keys
+    # (in memory here; in the artifact store when one is attached): an
+    # identical re-run is served from the cache, a changed corpus is not.
     session.run("Song")
     info = session.cache_info()
     print(f"re-run served from cache: {info['hits']} stage hits")

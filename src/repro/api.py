@@ -13,14 +13,17 @@ them:
 * ``observers=`` — per-stage timing/progress hooks
   (:class:`~repro.pipeline.stages.PipelineObserver`).
 
-Repeated runs are cheap: the session keeps an **artifact cache** keyed on
-``(class, stage, iteration, config-hash, restrictions, lineage)`` —
-re-running the same experiment skips every completed upstream stage, and
-a run that only changes a downstream stage reuses the untouched prefix.
-The lineage component (the exact sequence of stages executed before the
-cached one) guarantees a cached artifact is only reused when everything
-that influenced it is identical, including the cross-iteration feedback
-loop.
+Repeated runs are cheap: every default stage of a cached run goes
+through one **content-addressed stage cache**
+(:class:`~repro.pipeline.artifacts.ArtifactStore`), keyed on
+fingerprints of everything that can influence the stage's output — the
+corpus content, KB, models, semantic config, restrictions, iteration and
+the upstream artifacts.  Re-running the same experiment hits on every
+stage, a run that only changes a downstream stage reuses the untouched
+prefix, and a run after the corpus changed can never be served
+pre-change output.  The cache is the attached persistent store when
+there is one, otherwise a private memory tier of the session.  Custom
+stage instances are never cached.
 """
 
 from __future__ import annotations
@@ -33,21 +36,18 @@ from typing import Iterable, Sequence
 
 from repro import faults as faults_registry
 from repro.kb.knowledge_base import KnowledgeBase
-from repro.newdetect.detector import DetectionResult
 from repro.perf.kernels import KernelCache
 from repro.pipeline.artifacts import (
     ARTIFACTS_DIRNAME,
     ArtifactStore,
     IncrementalBackend,
     IncrementalRunReport,
-    PERSISTED_FIELDS,
 )
 from repro.pipeline.delta import (
     CorpusDelta,
     corpus_state,
     diff_corpus_states,
     digest,
-    fingerprint_corpus_state,
     fingerprint_kb,
     invalidation_frontier,
     pickle_digest,
@@ -86,7 +86,7 @@ _NON_SEMANTIC_CONFIG_FIELDS = frozenset(
 def config_hash(config: PipelineConfig) -> str:
     """A stable short hash of a config's *semantic* field values.
 
-    Used for cache keying; fields in :data:`_NON_SEMANTIC_CONFIG_FIELDS`
+    Used for artifact keys; fields in :data:`_NON_SEMANTIC_CONFIG_FIELDS`
     (the parallel-execution knobs) are excluded because they cannot
     change any artifact.
     """
@@ -117,33 +117,14 @@ class ProgressObserver(PipelineObserver):
         )
 
 
-def _fork(value):
-    """A mutation-safe snapshot of a cached stage output.
-
-    Stage outputs are lists of immutable-ish artifacts plus the
-    :class:`DetectionResult` (whose dicts ``dedup_new_entities`` mutates
-    after detection) — copy the containers, share the elements.
-    """
-    if isinstance(value, list):
-        return list(value)
-    if isinstance(value, DetectionResult):
-        return DetectionResult(
-            classifications=dict(value.classifications),
-            correspondences=dict(value.correspondences),
-            best_scores=dict(value.best_scores),
-        )
-    return value
-
-
 class _PersistentStage:
-    """Wraps a default stage with the on-disk artifact store.
+    """Wraps a default stage with the session's stage cache.
 
     Only registry-resolved default stages are wrapped (their inputs are
     exactly fingerprintable); the key embeds every input's digest, so a
     hit is byte-identical to recomputing by the purity invariant of
-    :mod:`repro.pipeline.artifacts`.  On a miss the inner stage runs —
-    with its per-table/per-entity caches warmed by the same backend —
-    and the fresh artifact is persisted.
+    :mod:`repro.pipeline.artifacts`.  On a miss the inner stage runs and
+    the fields it ``provides`` are stored.
     """
 
     def __init__(self, inner: PipelineStage, backend: IncrementalBackend) -> None:
@@ -151,7 +132,6 @@ class _PersistentStage:
         self.name = inner.name
         self.provides = inner.provides
         self._backend = backend
-        self._fields = PERSISTED_FIELDS[inner.name]
 
     def run(self, state: PipelineState) -> PipelineState:
         key = self._backend.stage_key(self.name, state)
@@ -169,63 +149,9 @@ class _PersistentStage:
             key,
             {
                 field_name: getattr(state, field_name)
-                for field_name in self._fields
+                for field_name in self.provides
             },
         )
-        return state
-
-
-class _CachedStage:
-    """Wraps a stage with the session's artifact cache.
-
-    ``stage_id`` distinguishes registry-named stages from substituted
-    instances (a custom stage that reuses a default stage's ``name``
-    must never be served the default stage's artifacts).  ``lineage``
-    is shared by all wrappers of one run and records the (stage,
-    iteration) sequence executed so far — two runs may share a cached
-    artifact only while their execution histories are identical.
-    """
-
-    def __init__(
-        self,
-        inner: PipelineStage,
-        session: "RunSession",
-        key_base: tuple,
-        lineage: list,
-        stage_id: tuple,
-    ) -> None:
-        self.inner = inner
-        self.name = getattr(inner, "name", type(inner).__name__)
-        #: None marks a stage that opted out of the state-field contract
-        #: (no ``provides``) — it always runs, never caches.
-        self.provides = getattr(inner, "provides", None)
-        self._session = session
-        self._key_base = key_base
-        self._lineage = lineage
-        self._stage_id = stage_id
-
-    def run(self, state: PipelineState) -> PipelineState:
-        key = (
-            self._key_base,
-            self._stage_id,
-            state.iteration,
-            tuple(self._lineage),
-        )
-        self._lineage.append((self._stage_id, state.iteration))
-        if self.provides is None:
-            return self.inner.run(state)
-        cached = self._session._artifacts.get(key)
-        if cached is not None:
-            self._session.cache_hits += 1
-            for field_name, value in cached.items():
-                setattr(state, field_name, _fork(value))
-            return state
-        self._session.cache_misses += 1
-        state = self.inner.run(state)
-        self._session._artifacts[key] = {
-            field_name: _fork(getattr(state, field_name))
-            for field_name in self.provides
-        }
         return state
 
 
@@ -233,7 +159,7 @@ class RunSession:
     """A long-lived service over one world (KB + corpus).
 
     The expensive inputs are loaded once and shared by every run; the
-    artifact cache makes repeated and partially-overlapping runs skip
+    stage cache makes repeated and partially-overlapping runs skip
     completed upstream stages.  Construct directly from a synthetic
     :class:`~repro.synthesis.world.World`, from explicit KB/corpus
     objects, via :meth:`from_seed`, or via :meth:`from_directory` for a
@@ -263,20 +189,17 @@ class RunSession:
         self.config = config or PipelineConfig()
         self.models = models
         self.observers: list[PipelineObserver] = list(observers)
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self._artifacts: dict = {}
         #: Session-scoped kernel memos (token-pair similarities plus the
         #: registered row-pair caches) shared by every run; cleared at
         #: the corpus-epoch guard because pair caches key on row ids.
         self.kernels = KernelCache()
-        #: Strong references keep cache-key identity tokens stable.
-        self._identity_registry: list[object] = []
         self._default_models: dict[str, PipelineModels] = {}
         #: Persistent artifact store for incremental runs (see
         #: :meth:`attach_artifact_store`); ``None`` keeps the session
-        #: purely in-memory.
+        #: purely in-memory.  When attached it is also the stage cache.
         self.artifact_store: ArtifactStore | None = None
+        #: The stage cache of a session without an attached store.
+        self._memory_store = ArtifactStore()
         #: Reuse/recompute statistics of the latest incremental run.
         self.last_incremental_report: IncrementalRunReport | None = None
         #: The :class:`repro.obs.Tracer` of the latest traced run
@@ -289,7 +212,9 @@ class RunSession:
         self.default_queue_dir: Path | None = None
         self._corpus_epoch: str | None = None
         self._kb_fp: str | None = None
-        self._models_fps: dict[int, str] = {}
+        #: ``(models, fingerprint)`` pairs; the strong references keep
+        #: the identity lookup in :meth:`_models_fingerprint` sound.
+        self._models_fps: list[tuple[PipelineModels, str]] = []
 
     # -- construction ---------------------------------------------------
     @classmethod
@@ -439,10 +364,13 @@ class RunSession:
         run without rebuilding any session state.  ``executor`` /
         ``workers`` override the parallel backend for this run only —
         the determinism contract makes any choice produce identical
-        results, so they are *excluded* from artifact-cache keys (a
-        serial run may be served artifacts a parallel run computed, and
-        vice versa).  ``incremental`` routes the run through the
-        persistent artifact store (see :meth:`run_incremental`).
+        results, so they are *excluded* from artifact keys (a serial
+        run may be served artifacts a parallel run computed, and vice
+        versa).  ``use_cache`` (default on) serves and stores the
+        default stages' outputs in the stage cache; ``False`` runs every
+        stage and leaves the cache untouched.  ``incremental`` routes
+        the run through the persistent artifact store (see
+        :meth:`run_incremental`).
 
         ``trace`` records the run as a span tree (:mod:`repro.obs`):
         ``True`` logs to ``<artifact store>/traces/<trace-id>.ndjson``
@@ -502,9 +430,9 @@ class RunSession:
                 TracingObserver(tracer, parent=run_span.span_id)
             )
         backend: IncrementalBackend | None = None
-        if incremental:
+        if use_cache or incremental:
             backend = self._make_backend(
-                class_name, config, models, restriction
+                class_name, config, models, restriction, incremental
             )
             if tracer is not None and backend.report.frontier is not None:
                 frontier = backend.report.frontier
@@ -520,22 +448,8 @@ class RunSession:
                 )
             stage_list = [
                 _PersistentStage(stage, backend)
-                if isinstance(spec, str) and spec in PERSISTED_FIELDS
+                if isinstance(spec, str) and spec in DEFAULT_STAGE_NAMES
                 else stage
-                for spec, stage in zip(stage_specs, stage_list)
-            ]
-        if use_cache:
-            key_base = (
-                class_name,
-                config_hash(config),
-                self._identity_token(models),
-                restriction,
-            )
-            lineage: list = []
-            stage_list = [
-                _CachedStage(
-                    stage, self, key_base, lineage, self._stage_id(spec, stage)
-                )
                 for spec, stage in zip(stage_specs, stage_list)
             ]
         try:
@@ -551,7 +465,7 @@ class RunSession:
                     known_classes=known_classes,
                     stages=stage_list,
                     observers=[*self.observers, *extra_observers],
-                    incremental=backend,
+                    incremental=backend if incremental else None,
                     kernels=self.kernels,
                 )
         except BaseException as error:
@@ -567,7 +481,7 @@ class RunSession:
                     tracer.close()
                 self.last_trace = tracer
             raise
-        if backend is not None:
+        if incremental:
             self.artifact_store.meta_save(
                 "last_corpus_state", {"state": backend.corpus_state}
             )
@@ -603,32 +517,28 @@ class RunSession:
 
     # -- cache administration ------------------------------------------
     def cache_info(self) -> dict[str, int]:
-        """Artifact-cache statistics (kernel memos report through
-        ``session.kernels.cache_info()``)."""
-        return {
-            "hits": self.cache_hits,
-            "misses": self.cache_misses,
-            "entries": len(self._artifacts),
-        }
+        """Stage-cache statistics: hits, misses and writes of the attached
+        store (or the memory tier), plus its entry count.  Kernel memos
+        report through ``session.kernels.cache_info()``."""
+        store = self._stage_store()
+        return {**store.stats(), "entries": len(store)}
 
     def clear_cache(self) -> None:
-        self._artifacts.clear()
-        self.cache_hits = 0
-        self.cache_misses = 0
+        """Empty the memory tier and the kernel memos.  An attached
+        store keeps its artifacts: they are content-keyed, never stale."""
+        self._memory_store = ArtifactStore()
         self.kernels.clear()
 
     def service_stats(self) -> dict:
         """Every cache/store statistic of this session, as one document.
 
         The read-only monitoring surface a long-lived holder (the
-        ``repro serve`` service's ``GET /metrics``) reports: the
-        in-memory artifact cache, the kernel memo bundle, and — when
-        attached — the persistent artifact store's on-disk shape and
-        hit/miss counters.  Purely observational: calling it changes no
-        cache state.
+        ``repro serve`` service's ``GET /metrics``) reports: the kernel
+        memo bundle and — when attached — the persistent artifact
+        store's on-disk shape and hit/miss counters.  Purely
+        observational: calling it changes no cache state.
         """
         return {
-            "artifact_cache": self.cache_info(),
             "kernel_cache": self.kernels.cache_info(),
             "artifact_store": (
                 self.artifact_store.describe()
@@ -666,50 +576,56 @@ class RunSession:
             return Tracer(path=path, trace_id=trace_id), True
         return Tracer(path=trace), True
 
+    def _stage_store(self) -> ArtifactStore:
+        """The stage cache: the attached store, else the memory tier."""
+        if self.artifact_store is not None:
+            return self.artifact_store
+        return self._memory_store
+
     def _make_backend(
         self,
         class_name: str,
         config: PipelineConfig,
         models: PipelineModels,
         restriction: tuple,
+        incremental: bool,
     ) -> IncrementalBackend:
-        """Snapshot the corpus and build this run's incremental backend.
+        """Snapshot the corpus and build this run's stage-cache backend.
 
         Also the session's corpus-epoch guard: when the snapshot differs
-        from the previous one, the in-memory artifact cache (which keys
-        by session state, not corpus content) is cleared — along with
-        the kernel caches, whose row-pair scores key on row *ids* that a
-        replaced table reuses for new content — and a live store-backed
-        corpus view drops its table cache.  The persistent store alone
-        carries reuse across deltas, under content-exact keys.
+        from the previous one, the kernel caches — whose row-pair scores
+        key on row *ids* that a replaced table reuses for new content —
+        are cleared, and a live store-backed corpus view drops its table
+        cache.  It is also taken on the session's first cached run
+        (``_corpus_epoch`` starts as ``None``): nothing vouches for what
+        uncached runs left in those caches before the store mutated.
+        Incremental runs additionally plan the invalidation frontier
+        against the store's last recorded corpus state.
         """
-        if self.artifact_store is None:
+        if incremental and self.artifact_store is None:
             raise RuntimeError(
                 "incremental runs need a persistent artifact store; "
                 "construct the session via from_corpus_store (attached "
                 "automatically) or call attach_artifact_store(path)"
             )
-        state = corpus_state(self.corpus)
-        epoch = fingerprint_corpus_state(state, order=list(state))
-        if epoch != self._corpus_epoch:
-            # Also taken on the session's *first* incremental run
-            # (``_corpus_epoch`` starts as None): earlier plain runs may
-            # have populated the in-memory cache and the view's LRU
-            # before the store mutated, and nothing vouches for them.
-            self.clear_cache()
-            invalidate = getattr(self.corpus, "invalidate", None)
-            if invalidate is not None:
-                invalidate()
-            self._corpus_epoch = epoch
         backend = IncrementalBackend(
-            self.artifact_store,
-            corpus_state=state,
+            self._stage_store(),
+            corpus_state=corpus_state(self.corpus),
             kb_fp=self._kb_fingerprint(),
             models_fp=self._models_fingerprint(models),
             config_fp=config_hash(config),
             restriction_fp=digest(list(map(repr, restriction))),
             class_name=class_name,
         )
+        if backend.corpus_fp != self._corpus_epoch:
+            self.kernels.clear()
+            invalidate = getattr(self.corpus, "invalidate", None)
+            if invalidate is not None:
+                invalidate()
+            self._corpus_epoch = backend.corpus_fp
+        if not incremental:
+            return backend
+        state = backend.corpus_state
         previous = self.artifact_store.meta_load("last_corpus_state")
         if previous is not None:
             delta = diff_corpus_states(previous["state"], state)
@@ -730,11 +646,11 @@ class RunSession:
         return self._kb_fp
 
     def _models_fingerprint(self, models: PipelineModels) -> str:
-        token = self._identity_token(models)
-        fingerprint = self._models_fps.get(token)
-        if fingerprint is None:
-            fingerprint = pickle_digest(models)
-            self._models_fps[token] = fingerprint
+        for known, fingerprint in self._models_fps:
+            if known is models:
+                return fingerprint
+        fingerprint = pickle_digest(models)
+        self._models_fps.append((models, fingerprint))
         return fingerprint
 
     def _resolve_models(
@@ -750,25 +666,6 @@ class RunSession:
                 self.knowledge_base, config
             ).models
         return self._default_models[key]
-
-    def _identity_token(self, obj: object) -> int:
-        """A session-stable identity token for an unhashable key part."""
-        for token, known in enumerate(self._identity_registry):
-            if known is obj:
-                return token
-        self._identity_registry.append(obj)
-        return len(self._identity_registry) - 1
-
-    def _stage_id(self, spec: PipelineStage | str, stage: PipelineStage) -> tuple:
-        """A cache-key component identifying *which* stage ran.
-
-        Registry-named stages are interchangeable across runs; a
-        substituted instance is only ever equal to itself, so a custom
-        stage sharing a default stage's ``name`` cannot collide with it.
-        """
-        if isinstance(spec, str):
-            return ("registry", spec)
-        return ("instance", self._identity_token(stage))
 
     @staticmethod
     def _restriction_key(

@@ -219,7 +219,18 @@ class WorkQueue:
         self._conn = sqlite3.connect(
             self.database_path, timeout=30.0, isolation_level=None
         )
-        self._conn.execute("PRAGMA journal_mode=WAL")
+        deadline = time.monotonic() + 30.0
+        while True:
+            try:
+                self._conn.execute("PRAGMA journal_mode=WAL")
+                break
+            except sqlite3.OperationalError as error:
+                # Switching a fresh file to WAL fails at once, bypassing
+                # the busy timeout, while another connection opens it
+                # too; the mode is persistent, so a retry finds it set.
+                if "locked" not in str(error) or time.monotonic() > deadline:
+                    raise
+                time.sleep(0.01)
         self._conn.execute("PRAGMA synchronous=NORMAL")
         self._conn.execute("PRAGMA busy_timeout=30000")
         self._conn.executescript(_SCHEMA)

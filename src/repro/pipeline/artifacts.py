@@ -1,15 +1,18 @@
-"""Persistent, content-addressed pipeline artifacts.
+"""Content-addressed pipeline artifacts: the one stage cache.
 
-This module promotes :class:`repro.api.RunSession`'s in-memory
-lineage-keyed artifact cache to an on-disk store that survives the
-process — the substrate of incremental pipeline execution:
+Every cached :class:`repro.api.RunSession` run reads and writes stage
+outputs here, under keys that fingerprint all of the stage's inputs —
+in memory for a session without an attached store, on disk otherwise.
+The on-disk store survives the process and is the substrate of
+incremental pipeline execution:
 
-* :class:`ArtifactStore` — a small content-addressed object store under
-  a directory (by convention ``<corpus-store>/artifacts``).  Keys are
+* :class:`ArtifactStore` — a small content-addressed object store,
+  either under a directory (by convention ``<corpus-store>/artifacts``)
+  or, with no directory, as a memory tier of pickled blobs.  Keys are
   canonical-JSON structures digesting every input of the stored value;
-  values are pickles written atomically.  There is deliberately no
-  invalidation API: a key embeds the fingerprints of all its inputs, so
-  stale entries are simply never addressed again.
+  values are pickles (written atomically on disk).  There is
+  deliberately no invalidation API: a key embeds the fingerprints of all
+  its inputs, so stale entries are simply never addressed again.
 * :class:`IncrementalBackend` — one run's view of the store.  It holds
   the fingerprints shared by every key (knowledge base, models, config,
   corpus snapshot, restrictions) and hands out the three cache layers:
@@ -23,6 +26,9 @@ process — the substrate of incremental pipeline execution:
      the dirty tables (:meth:`warm_matcher` / the attribute cache);
   3. **per-entity detection artifacts** — classification triples keyed
      by entity content, so only entities in dirty blocks re-detect.
+
+  Plain cached runs use only the first layer; incremental runs use all
+  three.
 
 Correctness invariant (the one every key must uphold): a stored value is
 a **pure function of its key**.  Under that invariant, serving from the
@@ -76,21 +82,11 @@ ARTIFACTS_DIRNAME = "artifacts"
 MANIFEST_NAME = "artifact_store.json"
 STORE_VERSION = 1
 
-#: State fields persisted per default stage.  ``schema_match`` excludes
-#: ``matcher`` (a live object with executor bindings — rebuilt on demand
-#: and re-warmed from the per-table layer instead).
-PERSISTED_FIELDS: dict[str, tuple[str, ...]] = {
-    "schema_match": ("mapping", "target_tables", "records"),
-    "cluster": ("context", "clusters"),
-    "fuse": ("entities",),
-    "detect": ("detection",),
-}
-
 
 class ArtifactStore:
-    """A directory of content-addressed pickled artifacts.
+    """Content-addressed pickled artifacts, on disk or in memory.
 
-    Layout::
+    On-disk layout::
 
         <directory>/artifact_store.json     # version manifest
         <directory>/objects/ab/<digest>.pkl # one pickle per artifact
@@ -103,6 +99,12 @@ class ArtifactStore:
     never reaches its own unlink — are swept on store open, guarded by
     age so a *live* writer's in-flight temp file is never pulled out
     from under it (queue workers and the service may share one store).
+
+    ``directory=None`` makes the **memory tier**: the same pickled blobs
+    and meta documents, held in dicts, with no file I/O at all (not even
+    at construction).  Every hit unpickles a fresh copy in both tiers,
+    so a caller may mutate what :meth:`get` returns without touching the
+    stored artifact.
     """
 
     #: A ``*.tmp`` file must be at least this old (seconds) before the
@@ -111,10 +113,23 @@ class ArtifactStore:
 
     def __init__(
         self,
-        directory: str | Path,
+        directory: str | Path | None = None,
         *,
         orphan_tmp_age: float = ORPHAN_TMP_AGE,
     ) -> None:
+        self.hits = 0
+        self.misses = 0
+        self.writes = 0
+        self.orphan_tmp_age = orphan_tmp_age
+        self.tmp_swept = 0
+        #: The memory tier's key digest -> pickle and name -> JSON text;
+        #: both ``None`` for an on-disk store.
+        self._blobs: dict[str, bytes] | None = None
+        self._meta: dict[str, str] | None = None
+        if directory is None:
+            self.directory = None
+            self._blobs, self._meta = {}, {}
+            return
         self.directory = Path(directory)
         manifest = self.directory / MANIFEST_NAME
         if manifest.exists():
@@ -131,10 +146,6 @@ class ArtifactStore:
             )
         (self.directory / "objects").mkdir(exist_ok=True)
         (self.directory / "meta").mkdir(exist_ok=True)
-        self.hits = 0
-        self.misses = 0
-        self.writes = 0
-        self.orphan_tmp_age = orphan_tmp_age
         self.tmp_swept = self._sweep_orphans()
 
     def _sweep_orphans(self) -> int:
@@ -167,10 +178,15 @@ class ArtifactStore:
         non-``None`` mapping or tuple, which keeps the miss signal
         unambiguous.
         """
-        path = self._object_path(self.key_digest(key))
-        try:
-            blob = path.read_bytes()
-        except FileNotFoundError:
+        key_digest = self.key_digest(key)
+        if self._blobs is not None:
+            blob = self._blobs.get(key_digest)
+        else:
+            try:
+                blob = self._object_path(key_digest).read_bytes()
+            except FileNotFoundError:
+                blob = None
+        if blob is None:
             self.misses += 1
             return None
         self.hits += 1
@@ -181,33 +197,26 @@ class ArtifactStore:
         if value is None:
             raise ValueError("ArtifactStore cannot store None (miss marker)")
         key_digest = self.key_digest(key)
-        path = self._object_path(key_digest)
-        path.parent.mkdir(parents=True, exist_ok=True)
         blob = pickle.dumps(value, protocol=4)
-        descriptor, temp_name = tempfile.mkstemp(
-            dir=path.parent, suffix=".tmp"
-        )
-        try:
-            with os.fdopen(descriptor, "wb") as handle:
-                handle.write(blob)
-            # A crash here strands an orphan *.tmp (fsck/sweep territory);
-            # a raise is cleaned up by the except below.  Either way the
-            # final path never holds a torn object.
+        if self._blobs is not None:
             faults.check("artifacts.put")
-            os.replace(temp_name, path)
-        except BaseException:
-            try:
-                os.unlink(temp_name)
-            except OSError:
-                pass
-            raise
+            self._blobs[key_digest] = blob
+        else:
+            path = self._object_path(key_digest)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            _write_atomic(path, blob, "artifacts.put")
         self.writes += 1
         return key_digest
 
     def __contains__(self, key: object) -> bool:
-        return self._object_path(self.key_digest(key)).exists()
+        key_digest = self.key_digest(key)
+        if self._blobs is not None:
+            return key_digest in self._blobs
+        return self._object_path(key_digest).exists()
 
     def __len__(self) -> int:
+        if self._blobs is not None:
+            return len(self._blobs)
         objects = self.directory / "objects"
         return sum(1 for _ in objects.glob("*/*.pkl"))
 
@@ -250,33 +259,51 @@ class ArtifactStore:
 
     # -- named metadata -------------------------------------------------
     def meta_load(self, name: str) -> dict | None:
-        path = self.directory / "meta" / f"{name}.json"
-        if not path.exists():
-            return None
-        return json.loads(path.read_text(encoding="utf-8"))
+        if self._meta is not None:
+            text = self._meta.get(name)
+        else:
+            path = self.directory / "meta" / f"{name}.json"
+            text = path.read_text(encoding="utf-8") if path.exists() else None
+        return json.loads(text) if text is not None else None
 
     def meta_save(self, name: str, payload: dict) -> None:
-        path = self.directory / "meta" / f"{name}.json"
-        descriptor, temp_name = tempfile.mkstemp(
-            dir=path.parent, suffix=".tmp"
-        )
-        try:
-            with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle, sort_keys=True)
+        text = json.dumps(payload, sort_keys=True)
+        if self._meta is not None:
             faults.check("artifacts.meta_save")
-            os.replace(temp_name, path)
-        except BaseException:
-            try:
-                os.unlink(temp_name)
-            except OSError:
-                pass
-            raise
+            self._meta[name] = text
+            return
+        _write_atomic(
+            self.directory / "meta" / f"{name}.json",
+            text.encode("utf-8"),
+            "artifacts.meta_save",
+        )
 
     # -- internals ------------------------------------------------------
     def _object_path(self, key_digest: str) -> Path:
         return (
             self.directory / "objects" / key_digest[:2] / f"{key_digest}.pkl"
         )
+
+
+def _write_atomic(path: Path, data: bytes, fault_point: str) -> None:
+    """Write ``data`` to ``path`` through a temp file and a rename.
+
+    A crash at the fault point strands an orphan ``*.tmp`` (fsck/sweep
+    territory); a raise is cleaned up below.  Either way ``path`` never
+    holds a torn file.
+    """
+    descriptor, temp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(descriptor, "wb") as handle:
+            handle.write(data)
+        faults.check(fault_point)
+        os.replace(temp_name, path)
+    except BaseException:
+        try:
+            os.unlink(temp_name)
+        except OSError:
+            pass
+        raise
 
 
 # ---------------------------------------------------------------------------

@@ -135,8 +135,9 @@ class PipelineStage(Protocol):
 
     ``name`` identifies the stage (registry key, observer events, cache
     keys); ``provides`` names the :class:`PipelineState` fields the stage
-    sets, which is what the :class:`repro.api.RunSession` artifact cache
-    snapshots; ``run`` transforms the state and returns it.
+    sets, which is what the :class:`repro.api.RunSession` stage cache
+    stores for a default stage; ``run`` transforms the state and returns
+    it.
     """
 
     name: str
@@ -326,16 +327,17 @@ class SchemaMatchStage:
     """Figure-1 "Schema Matching": corpus mapping + row-record projection."""
 
     name = "schema_match"
-    #: ``matcher`` rides along so a cache hit restores the shared
-    #: per-table analysis memos a later uncached iteration would reuse.
-    provides = ("mapping", "target_tables", "records", "matcher")
+    #: ``matcher`` stays out: it is a live object with executor
+    #: bindings, rebuilt on demand (and, in incremental runs, re-warmed
+    #: from the per-table artifact layer).
+    provides = ("mapping", "target_tables", "records")
 
     def run(self, state: PipelineState) -> PipelineState:
         if state.matcher is None:
             state.matcher = SchemaMatcher(state.kb, state.models.schema_models)
-        # The matcher outlives runs (it rides the artifact cache), but
-        # executors, incremental backends and the candidate mode are
-        # per-run resources/config — rebind every time.
+        # The matcher is shared by the run's iterations (keeping its
+        # analysis memos); executors, incremental backends and the
+        # candidate mode are rebound on every call.
         state.matcher.executor = state.executor
         state.matcher.candidate_mode = state.config.candidate_mode
         state.matcher.attribute_cache = None

@@ -510,11 +510,8 @@ class KBService:
                 },
                 "latency_ms": percentile_summary(self._latencies),
             }
-        uptime = round(time.time() - self.started_at, 3)
         return {
-            "uptime_seconds": uptime,
-            "uptime_s": uptime,
-            "queue_depth": self._queue.qsize(),
+            "uptime_seconds": round(time.time() - self.started_at, 3),
             "writer_queue": {
                 "depth": self._queue.qsize(),
                 "max_depth": self.max_queue_depth,

@@ -172,22 +172,29 @@ class TestRunSessionEquivalence:
 
 
 class TestArtifactCache:
+    """The session's stage cache: the content-addressed memory tier of
+    an :class:`~repro.pipeline.artifacts.ArtifactStore` (no store is
+    attached to these sessions)."""
+
     def test_repeat_run_hits_every_stage(self, session, song_gold, session_run):
-        hits_before = session.cache_hits
+        hits_before = session.cache_info()["hits"]
         again = session.run("Song", **_song_restriction(song_gold))
         expected = len(DEFAULT_STAGE_NAMES) * 2  # stages × iterations
-        assert session.cache_hits == hits_before + expected
+        assert session.cache_info()["hits"] == hits_before + expected
         assert again.summary() == session_run.summary()
 
     def test_partial_upstream_stages_reused(self, tiny_world, song_gold):
         fresh = RunSession(world=tiny_world)
         restriction = _song_restriction(song_gold)
         fresh.run("Song", stages=("schema_match", "cluster"), **restriction)
-        assert fresh.cache_info() == {"hits": 0, "misses": 4, "entries": 4}
+        assert fresh.cache_info() == {
+            "hits": 0, "misses": 4, "writes": 4, "entries": 4
+        }
         full = fresh.run("Song", **restriction)
-        # Only the iteration-1 prefix is safe to reuse: iteration-2 schema
-        # matching depends on detection feedback the partial run never made.
-        assert fresh.cache_hits == 2
+        # Only the iteration-1 prefix is reused: iteration-2 schema
+        # matching depends on detection feedback the partial run never
+        # made, so its key (and everything downstream) differs.
+        assert fresh.cache_info()["hits"] == 2
         assert full.final.entities
 
     def test_use_cache_false_bypasses(self, session, song_gold):
@@ -196,20 +203,28 @@ class TestArtifactCache:
         assert session.cache_info() == info_before
 
     def test_config_change_misses(self, session, song_gold):
-        hits_before = session.cache_hits
+        hits_before = session.cache_info()["hits"]
         session.run(
             "Song",
             config=PipelineConfig(iterations=1, seed=99),
             **_song_restriction(song_gold),
         )
-        assert session.cache_hits == hits_before
+        assert session.cache_info()["hits"] == hits_before
 
-    def test_clear_cache(self, tiny_world):
+    def test_clear_cache(self, tiny_world, song_gold):
         fresh = RunSession(world=tiny_world)
-        fresh.cache_hits = 3
-        fresh._artifacts["k"] = {}
+        fresh.run(
+            "Song",
+            stages=("schema_match", "cluster"),
+            **_song_restriction(song_gold),
+        )
+        assert fresh.cache_info()["entries"] == 4
+        assert fresh.kernels.cache_info()["token_pairs"] > 0
         fresh.clear_cache()
-        assert fresh.cache_info() == {"hits": 0, "misses": 0, "entries": 0}
+        assert fresh.cache_info() == {
+            "hits": 0, "misses": 0, "writes": 0, "entries": 0
+        }
+        assert fresh.kernels.cache_info()["token_pairs"] == 0
 
 
 class TestStageSubstitution:

@@ -42,6 +42,7 @@ from repro.pipeline.delta import (
     fingerprint_records,
     invalidation_frontier,
 )
+from repro.pipeline.stages import PipelineObserver
 from repro.synthesis.api import build_world
 from repro.synthesis.profiles import WorldScale
 from repro.webtables.table import WebTable
@@ -238,6 +239,29 @@ class TestArtifactStore:
         assert key in store
         assert len(store) == 1
         assert store.stats() == {"hits": 1, "misses": 1, "writes": 1}
+
+    def test_memory_tier_serves_fresh_copies_without_files(
+        self, tmp_path, monkeypatch
+    ):
+        """``ArtifactStore()`` keeps pickles in memory and touches no
+        file; every hit is a fresh copy, so mutating one cannot reach
+        the stored artifact."""
+        monkeypatch.chdir(tmp_path)
+        store = ArtifactStore()
+        key = ["stage", "fuse", "entities", "abc123"]
+        assert store.get(key) is None
+        store.put(key, {"entities": [1, 2]})
+        store.get(key)["entities"].append(3)
+        assert store.get(key) == {"entities": [1, 2]}
+        assert key in store
+        assert len(store) == 1
+        assert store.stats() == {"hits": 2, "misses": 1, "writes": 1}
+        store.meta_save("last_corpus_state", {"state": {"t1": "hash"}})
+        assert store.meta_load("last_corpus_state") == {
+            "state": {"t1": "hash"}
+        }
+        assert store.meta_load("never-written") is None
+        assert list(tmp_path.iterdir()) == []
 
     def test_distinct_keys_do_not_collide(self, tmp_path):
         store = ArtifactStore(tmp_path / "artifacts")
@@ -543,18 +567,64 @@ class TestSessionGuards:
         assert result.canonical_json() != stale.canonical_json()
         _assert_equivalent(store, result)
 
+    def test_plain_rerun_after_ingest_is_not_stale(
+        self, tmp_path, song_world, world_tables
+    ):
+        """A plain rerun after the store grew must compute over the new
+        corpus (regression: the lineage-keyed session cache had no
+        corpus content in its key and served all eight stages stale)."""
+        store = _make_store(tmp_path, song_world, world_tables[:N_BASE])
+        session = RunSession.from_corpus_store(store)
+        first = session.run(CLASS_NAME)
+        store.ingest(world_tables[N_BASE : N_BASE + 4])
+        second = session.run(CLASS_NAME)
+        assert second.canonical_json() != first.canonical_json()
+        _assert_equivalent(store, second)
+
+    def test_plain_rerun_after_replace_is_not_stale(
+        self, tmp_path, song_world, world_tables
+    ):
+        """Replacing a table the first run read keeps its id, so the
+        corpus view's LRU still holds the old content: the epoch guard
+        must drop it before the rerun computes (and stores) anything."""
+        store = _make_store(tmp_path, song_world, world_tables[:N_BASE])
+        session = RunSession.from_corpus_store(store)
+        first = session.run(CLASS_NAME)
+        victim = first.final.records[0].table_id
+        replace = store.ingest(
+            [_mutated(store.get(victim), salt=1)], on_conflict="replace"
+        )
+        assert replace.replaced_ids == [victim]
+        second = session.run(CLASS_NAME)
+        assert second.canonical_json() != first.canonical_json()
+        _assert_equivalent(store, second)
+
     def test_epoch_change_clears_in_memory_cache(
         self, tmp_path, song_world, world_tables
     ):
+        """The corpus-epoch guard runs on plain cached runs too: a moved
+        snapshot drops the kernel memos and the view's LRU before the
+        pipeline starts; an unchanged one keeps them."""
         store = _make_store(tmp_path, song_world, world_tables[:N_BASE])
         session = RunSession.from_corpus_store(store)
-        session.run_incremental(CLASS_NAME)
-        assert session.cache_info()["entries"] > 0
+
+        class CacheSizesAtStart(PipelineObserver):
+            def __init__(self):
+                self.sizes = []
+
+            def on_run_started(self, class_name, config):
+                self.sizes.append(
+                    (
+                        session.kernels.cache_info()["token_pairs"],
+                        session.corpus.cache_info()["size"],
+                    )
+                )
+
+        probe = CacheSizesAtStart()
+        session.run(CLASS_NAME)
+        session.run(CLASS_NAME, observers=[probe])
+        kernel_pairs, view_tables = probe.sizes[-1]
+        assert kernel_pairs > 0 and view_tables > 0
         store.ingest(world_tables[N_BASE : N_BASE + 1])
-        session.run_incremental(CLASS_NAME)
-        # The pre-delta in-memory artifacts were dropped, then repopulated
-        # by the post-delta run.
-        info = session.cache_info()
-        assert info["entries"] > 0
-        delta = session.last_incremental_report.frontier.delta
-        assert delta.added == (world_tables[N_BASE].table_id,)
+        session.run(CLASS_NAME, observers=[probe])
+        assert probe.sizes[-1] == (0, 0)

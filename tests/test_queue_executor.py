@@ -166,6 +166,36 @@ class TestWorkQueue:
     def test_queue_stats_without_spool(self, tmp_path):
         assert queue_stats(tmp_path / "never-created") is None
 
+    def test_simultaneous_opens_of_a_fresh_spool(self, tmp_path):
+        """A driver and workers starting together on a new spool all
+        open it (the WAL switch used to fail with "database is locked"
+        for whoever lost the race, about 3 % of three-way starts)."""
+        failures: list[Exception] = []
+
+        def open_spool(spool, barrier):
+            barrier.wait(timeout=30)
+            try:
+                with WorkQueue(spool):
+                    pass
+            except Exception as error:  # noqa: BLE001 - asserted below
+                failures.append(error)
+
+        for trial in range(150):
+            barrier = threading.Barrier(3)
+            threads = [
+                threading.Thread(
+                    target=open_spool,
+                    args=(tmp_path / f"spool-{trial}", barrier),
+                )
+                for _ in range(3)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        assert not failures, failures[:3]
+
 
 # -- the executor against an in-process fleet ---------------------------
 class TestQueueExecutor:

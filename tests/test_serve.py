@@ -28,6 +28,7 @@ from repro.api import RunSession
 from repro.corpus.store import CorpusStore
 from repro.io import save_knowledge_base
 from repro.io.serialize import WORLD_KB_FILE
+from repro.pipeline.stages import PipelineObserver
 from repro.serve import (
     KBService,
     ServiceClient,
@@ -154,6 +155,29 @@ class TestLifecycleEquivalence:
             document["run_id"]
         ) == batch_canonical(served.store)
         assert document["snapshot_version"] > first_run["snapshot_version"]
+
+    def test_plain_rerun_after_ingest_matches_batch(
+        self, song_world, world_tables, tmp_path
+    ):
+        """A non-incremental run after an ingest must not republish the
+        pre-delta output (regression: the session's lineage-keyed cache
+        served it from memory)."""
+        box = Served(tmp_path, song_world, world_tables[:N_BASE])
+        try:
+            service = box.service
+            first = _wait(service, service.submit_run(CLASS_NAME)["run_id"])
+            assert first["status"] == "done"
+            delta = world_tables[N_BASE : N_BASE + 4]
+            service.ingest_tables([table_record(t) for t in delta])
+            run_id = service.submit_run(CLASS_NAME, incremental=False)[
+                "run_id"
+            ]
+            assert _wait(service, run_id)["status"] == "done"
+            assert service.run_canonical(run_id) == batch_canonical(
+                box.store
+            )
+        finally:
+            box.close()
 
     def test_superseded_run_canonical_conflicts(self, served, first_run):
         with pytest.raises(ServiceClientError) as excinfo:
@@ -322,6 +346,23 @@ class TestWriterFailures:
         assert excinfo.value.status == 503
 
 
+class _HoldFirstStage(PipelineObserver):
+    """Blocks a run at its first finished stage until ``release`` is set.
+
+    The timeout only bounds a failing test; a passing one releases the
+    run as soon as it has seen it running.
+    """
+
+    def __init__(self) -> None:
+        self.release = threading.Event()
+        self._held = False
+
+    def on_stage_finished(self, class_name, iteration, stage_name, seconds):
+        if not self._held:
+            self._held = True
+            self.release.wait(timeout=120)
+
+
 def _wait(service: KBService, run_id: str, timeout: float = 120.0) -> dict:
     deadline = time.time() + timeout
     while time.time() < deadline:
@@ -421,20 +462,33 @@ class TestRunTracing:
         assert fresh != "not valid !!" and fresh.startswith("tr-")
 
     def test_stream_events_follows_a_live_run(self, served):
-        run_id = served.client.submit_run(CLASS_NAME)["run_id"]
-        events = []
-        status_at_first_stage = None
-        for record in served.client.stream_events(run_id):
-            events.append(record)
-            if (
-                status_at_first_stage is None
-                and record.get("kind") == "stage"
-            ):
-                # The whole point of streaming: stage events arrive
-                # while the run document still says running, not after.
-                status_at_first_stage = served.client.run(
-                    run_id
-                )["status"]
+        # The shared service may serve this run from its artifact store
+        # fast enough to finish before the client looks; holding the
+        # run at its first finished stage (its begin record is already
+        # in the log) makes "observed while running" certain.
+        hold = _HoldFirstStage()
+        observers = served.service.session.observers
+        observers.append(hold)
+        try:
+            run_id = served.client.submit_run(CLASS_NAME)["run_id"]
+            events = []
+            status_at_first_stage = None
+            for record in served.client.stream_events(run_id):
+                events.append(record)
+                if (
+                    status_at_first_stage is None
+                    and record.get("kind") == "stage"
+                ):
+                    # The whole point of streaming: stage events arrive
+                    # while the run document still says running, not
+                    # after.
+                    status_at_first_stage = served.client.run(
+                        run_id
+                    )["status"]
+                    hold.release.set()
+        finally:
+            hold.release.set()
+            observers.remove(hold)
         assert status_at_first_stage in ("queued", "running")
         sequences = [record["seq"] for record in events]
         assert sequences == sorted(sequences)
@@ -498,8 +552,8 @@ class TestRunTracing:
 
     def test_metrics_observability_fields(self, served):
         metrics = served.client.metrics()
-        assert metrics["uptime_s"] > 0
-        assert metrics["queue_depth"] == 0
+        assert metrics["uptime_seconds"] > 0
+        assert metrics["writer_queue"]["depth"] == 0
         assert metrics["snapshot_version"] >= 1
 
     def test_access_log_line_per_request(
